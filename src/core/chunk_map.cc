@@ -6,35 +6,6 @@
 
 namespace crackdb {
 
-void ReplayOnKeyStore(CrackPairs& store, CrackerIndex& index,
-                      const TapeEntry& entry) {
-  switch (entry.kind) {
-    case TapeEntry::Kind::kCrack:
-      CrackOnPredicate(store, index, entry.pred);
-      break;
-    case TapeEntry::Kind::kCrackBound: {
-      if (!index.FindSplit(entry.bound).has_value()) {
-        const CrackerIndex::Piece piece =
-            index.FindPiece(entry.bound, store.size());
-        const size_t split =
-            CrackInTwo(store, piece.begin, piece.end, entry.bound);
-        index.AddSplit(entry.bound, split);
-      }
-      break;
-    }
-    case TapeEntry::Kind::kInsert:
-      RippleInsert(store, index, entry.head_value,
-                   static_cast<Value>(entry.key));
-      break;
-    case TapeEntry::Kind::kDelete:
-      RippleDeleteAt(store, index, entry.pos);
-      break;
-    case TapeEntry::Kind::kSort:
-      SortPiece(store, index, entry.piece_lower);
-      break;
-  }
-}
-
 ChunkMap::ChunkMap(const Relation& relation, const std::string& head_attr)
     : relation_(&relation),
       head_attr_(head_attr),
@@ -67,7 +38,8 @@ ChunkMapArea* ChunkMap::AreaByStart(const AreaStart& start) {
 
 void ChunkMap::AlignArea(ChunkMapArea& area) {
   while (area.h_cursor < area.tape.size()) {
-    ReplayOnKeyStore(area.store, area.index, area.tape.at(area.h_cursor));
+    const TapeEntry& entry = area.tape.at(area.h_cursor);
+    ReplayTapeEntry(area.store, area.index, entry, KeyTail(entry));
     ++area.h_cursor;
   }
 }

@@ -133,11 +133,13 @@ class ChunkMap {
   PendingQueue pending_;
 };
 
-/// Replays one tape entry onto a key-tailed store (H_A areas and scratch
-/// head-recovery replicas): tail values for inserts are the keys
-/// themselves.
-void ReplayOnKeyStore(CrackPairs& store, CrackerIndex& index,
-                      const TapeEntry& entry);
+/// The `insert_tail` of ReplayTapeEntry for key-tailed stores (H_A areas
+/// and scratch head-recovery replicas): an inserted row's tail is its key.
+inline Value KeyTail(const TapeEntry& entry) {
+  return entry.kind() == TapeEntry::Kind::kInsert
+             ? static_cast<Value>(entry.key())
+             : 0;
+}
 
 }  // namespace crackdb
 

@@ -67,38 +67,14 @@ Value MapSet::TailValueForKey(const CrackerMap& map, Key key) const {
   return relation_->column(map.tail_attr())[key];
 }
 
-void MapSet::ReplayEntry(CrackerMap& map, const TapeEntry& entry) {
-  switch (entry.kind) {
-    case TapeEntry::Kind::kCrack:
-      CrackOnPredicate(map.store(), map.index(), entry.pred);
-      break;
-    case TapeEntry::Kind::kCrackBound: {
-      if (!map.index().FindSplit(entry.bound).has_value()) {
-        const CrackerIndex::Piece piece =
-            map.index().FindPiece(entry.bound, map.size());
-        const size_t split =
-            CrackInTwo(map.store(), piece.begin, piece.end, entry.bound);
-        map.index().AddSplit(entry.bound, split);
-      }
-      break;
-    }
-    case TapeEntry::Kind::kInsert:
-      RippleInsert(map.store(), map.index(), entry.head_value,
-                   TailValueForKey(map, entry.key));
-      break;
-    case TapeEntry::Kind::kDelete:
-      RippleDeleteAt(map.store(), map.index(), entry.pos);
-      break;
-    case TapeEntry::Kind::kSort:
-      SortPiece(map.store(), map.index(), entry.piece_lower);
-      break;
-  }
-}
-
 void MapSet::AlignTo(CrackerMap& map, size_t target_cursor) {
   assert(target_cursor <= tape_.size());
   while (map.cursor() < target_cursor) {
-    ReplayEntry(map, tape_.at(map.cursor()));
+    const TapeEntry& entry = tape_.at(map.cursor());
+    const Value insert_tail = entry.kind() == TapeEntry::Kind::kInsert
+                                  ? TailValueForKey(map, entry.key())
+                                  : 0;
+    ReplayTapeEntry(map.store(), map.index(), entry, insert_tail);
     map.set_cursor(map.cursor() + 1);
   }
 }

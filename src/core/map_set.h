@@ -83,7 +83,6 @@ class MapSet {
   size_t snapshot_size() const { return snapshot_head_.size(); }
 
  private:
-  void ReplayEntry(CrackerMap& map, const TapeEntry& entry);
   Value TailValueForKey(const CrackerMap& map, Key key) const;
   std::unique_ptr<CrackerMap> BuildFromSnapshot(const std::string& tail_attr) const;
 

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "updates/ripple.h"
-
 namespace crackdb {
 
 PartialMap::PartialMap(const Relation& relation, std::string head_attr,
@@ -41,41 +39,17 @@ MapChunk& PartialMap::CreateChunk(ChunkMapArea& area) {
 
 void PartialMap::DropChunk(const AreaStart& start) { chunks_.erase(start); }
 
-void PartialMap::ReplayEntry(MapChunk& chunk, const TapeEntry& entry) {
-  switch (entry.kind) {
-    case TapeEntry::Kind::kCrack:
-      CrackOnPredicate(chunk.store, chunk.index, entry.pred);
-      break;
-    case TapeEntry::Kind::kCrackBound: {
-      if (!chunk.index.FindSplit(entry.bound).has_value()) {
-        const CrackerIndex::Piece piece =
-            chunk.index.FindPiece(entry.bound, chunk.store.size());
-        const size_t split =
-            CrackInTwo(chunk.store, piece.begin, piece.end, entry.bound);
-        chunk.index.AddSplit(entry.bound, split);
-      }
-      break;
-    }
-    case TapeEntry::Kind::kInsert:
-      RippleInsert(chunk.store, chunk.index, entry.head_value,
-                   TailForKey(entry.key));
-      break;
-    case TapeEntry::Kind::kDelete:
-      RippleDeleteAt(chunk.store, chunk.index, entry.pos);
-      break;
-    case TapeEntry::Kind::kSort:
-      SortPiece(chunk.store, chunk.index, entry.piece_lower);
-      break;
-  }
-}
-
 void PartialMap::AlignChunk(MapChunk& chunk, ChunkMapArea& area,
                             size_t target_cursor) {
   assert(target_cursor <= area.tape.size());
   if (chunk.cursor >= target_cursor) return;
   if (chunk.store.head_dropped) RecoverHead(chunk, area);
   while (chunk.cursor < target_cursor) {
-    ReplayEntry(chunk, area.tape.at(chunk.cursor));
+    const TapeEntry& entry = area.tape.at(chunk.cursor);
+    const Value insert_tail = entry.kind() == TapeEntry::Kind::kInsert
+                                  ? TailForKey(entry.key())
+                                  : 0;
+    ReplayTapeEntry(chunk.store, chunk.index, entry, insert_tail);
     ++chunk.cursor;
   }
 }
@@ -97,7 +71,8 @@ void PartialMap::RecoverHead(MapChunk& chunk, ChunkMapArea& area) {
     scratch.tail = area.store.tail;
     CrackerIndex scratch_index = area.index.CloneLive();
     for (size_t c = area.h_cursor; c < chunk.cursor; ++c) {
-      ReplayOnKeyStore(scratch, scratch_index, area.tape.at(c));
+      const TapeEntry& entry = area.tape.at(c);
+      ReplayTapeEntry(scratch, scratch_index, entry, KeyTail(entry));
     }
     assert(scratch.head.size() == chunk.store.tail.size());
     chunk.store.RestoreHead(std::move(scratch.head));

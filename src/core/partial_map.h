@@ -89,7 +89,6 @@ class PartialMap {
 
  private:
   Value TailForKey(Key key) const { return (*tail_column_)[key]; }
-  void ReplayEntry(MapChunk& chunk, const TapeEntry& entry);
 
   const Relation* relation_;
   std::string head_attr_;

@@ -123,15 +123,13 @@ PartialQueryResult PartialMapSet::Execute(const PartialQueryRequest& req) {
           chunk_map_.AlignArea(area);
         } else {
           // No chunks derive from an unfetched area: crack in place.
-          TapeEntry e;
-          e.kind = TapeEntry::Kind::kCrackBound;
           if (ra.crack_low) {
-            e.bound = b_lo;
-            ReplayOnKeyStore(area.store, area.index, e);
+            ReplayTapeEntry(area.store, area.index,
+                            TapeEntry::CrackBound(b_lo), 0);
           }
           if (ra.crack_high) {
-            e.bound = b_hi;
-            ReplayOnKeyStore(area.store, area.index, e);
+            ReplayTapeEntry(area.store, area.index,
+                            TapeEntry::CrackBound(b_hi), 0);
           }
         }
       }

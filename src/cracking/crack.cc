@@ -48,10 +48,6 @@ std::pair<size_t, size_t> CrackInThree(CrackPairs& store, size_t begin,
   return {begin + mid_begin, begin + hi_begin};
 }
 
-namespace {
-
-/// Ensures a split exists for `bound`; cracks the containing piece when it
-/// does not. Returns {position, whether a crack happened}.
 std::pair<size_t, bool> EnsureSplit(CrackPairs& store, CrackerIndex& index,
                                     const Bound& bound) {
   if (std::optional<size_t> pos = index.FindSplit(bound)) {
@@ -62,8 +58,6 @@ std::pair<size_t, bool> EnsureSplit(CrackPairs& store, CrackerIndex& index,
   index.AddSplit(bound, split);
   return {split, true};
 }
-
-}  // namespace
 
 CrackResult CrackOnPredicate(CrackPairs& store, CrackerIndex& index,
                              const RangePredicate& pred) {

@@ -99,6 +99,11 @@ std::pair<size_t, size_t> CrackInThree(CrackPairs& store, size_t begin,
                                        size_t end, const Bound& lo,
                                        const Bound& hi);
 
+/// Ensures a split exists for `bound`, cracking the piece it falls into
+/// when it does not. Returns {split position, whether a crack happened}.
+std::pair<size_t, bool> EnsureSplit(CrackPairs& store, CrackerIndex& index,
+                                    const Bound& bound);
+
 /// The single entry point used everywhere a structure is cracked on a
 /// selection: finds / creates the splits for `pred` in `index`, physically
 /// reorganizing `store` as needed (crack-in-three when both new bounds fall

@@ -18,17 +18,17 @@ void PendingQueue::Pull() {
 
 std::vector<PendingUpdate> PendingQueue::ExtractMatching(
     const RangePredicate& pred) {
+  // One stable pass: matches move out, the rest compacts in place.
   std::vector<PendingUpdate> extracted;
-  std::vector<PendingUpdate> kept;
-  kept.reserve(pending_.size());
+  size_t kept = 0;
   for (const PendingUpdate& u : pending_) {
     if (pred.Matches(u.head_value)) {
       extracted.push_back(u);
     } else {
-      kept.push_back(u);
+      pending_[kept++] = u;
     }
   }
-  pending_ = std::move(kept);
+  pending_.resize(kept);
   return extracted;
 }
 

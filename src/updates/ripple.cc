@@ -1,7 +1,6 @@
 #include "updates/ripple.h"
 
 #include <cassert>
-#include <vector>
 
 namespace crackdb {
 
@@ -9,55 +8,44 @@ void RippleInsert(CrackPairs& store, CrackerIndex& index, Value head_value,
                   Value tail_value) {
   assert(!store.head_dropped);
   const size_t old_size = store.size();
-  const CrackerIndex::Piece target =
-      index.FindPiece(Bound{head_value, true}, old_size);
   store.PushBack(0, 0);  // hole at position old_size
+  // Walk the splits above the value from the top: the piece starting at
+  // each donates its first entry to the hole at its end, effectively
+  // shifting by one, and its split moves up. The hole always sits at the
+  // end of the piece being visited, so an empty piece moves its entry onto
+  // itself. Splits of empty pieces can sit at the target piece's end with
+  // bounds the new value satisfies; those are not above the value and stay.
   size_t hole = old_size;
-  // Walk the pieces after the target from the back; each donates its first
-  // entry to the hole at its end, effectively shifting by one.
-  const std::vector<CrackerIndex::Piece> pieces = index.Pieces(old_size);
-  for (auto it = pieces.rbegin(); it != pieces.rend(); ++it) {
-    if (it->begin < target.end) break;  // reached the target piece
-    if (it->begin == it->end) continue;  // empty piece: hole passes through
-    store.MoveEntry(it->begin, hole);
-    hole = it->begin;
-  }
-  assert(hole == target.end);
+  auto fill_from_piece_starting_at = [&](size_t piece_begin) {
+    store.MoveEntry(piece_begin, hole);
+    hole = piece_begin;
+  };
+  index.ShiftSplitsAbove(Bound{head_value, true}, +1,
+                         CrackerIndex::Order::kDescending,
+                         fill_from_piece_starting_at);
   store.SetEntry(hole, head_value, tail_value);
-  // Bound-based shift: splits of empty pieces can sit at `target.end` with
-  // bounds the new value satisfies; only splits strictly above the value
-  // move.
-  index.ShiftPositionsAfterBound(Bound{head_value, true}, +1);
 }
 
 void RippleDeleteAt(CrackPairs& store, CrackerIndex& index, size_t pos) {
   assert(!store.head_dropped);
   const size_t old_size = store.size();
   assert(pos < old_size);
-  const std::vector<CrackerIndex::Piece> pieces = index.Pieces(old_size);
-  // Find the piece containing pos.
-  size_t target_idx = pieces.size();
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (pos >= pieces[i].begin && pos < pieces[i].end) {
-      target_idx = i;
-      break;
-    }
-  }
-  assert(target_idx < pieces.size());
-  const CrackerIndex::Piece& target = pieces[target_idx];
-  // Fill the hole with the target piece's last entry, then let every later
-  // piece donate its last entry to the hole at its (new) start.
-  store.MoveEntry(target.end - 1, pos);
-  size_t hole = target.end - 1;
-  for (size_t i = target_idx + 1; i < pieces.size(); ++i) {
-    const CrackerIndex::Piece& p = pieces[i];
-    if (p.begin == p.end) continue;
-    store.MoveEntry(p.end - 1, hole);
-    hole = p.end - 1;
-  }
+  // Walk the splits above the deleted value upwards: the piece ending at
+  // each (first the one holding `pos`) donates its last entry to the hole,
+  // and its upper split moves down. The last piece ends at the store end.
+  // Past the first piece the hole sits just before the piece being
+  // visited, so an empty piece moves its entry onto itself.
+  size_t hole = pos;
+  auto fill_from_piece_ending_at = [&](size_t piece_end) {
+    store.MoveEntry(piece_end - 1, hole);
+    hole = piece_end - 1;
+  };
+  index.ShiftSplitsAbove(Bound{store.head[pos], true}, -1,
+                         CrackerIndex::Order::kAscending,
+                         fill_from_piece_ending_at);
+  fill_from_piece_ending_at(old_size);
   assert(hole == old_size - 1);
   store.PopBack();
-  index.ShiftPositions(target.end, -1);
 }
 
 std::optional<size_t> FindEntry(const CrackPairs& store,

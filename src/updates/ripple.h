@@ -19,7 +19,8 @@ namespace crackdb {
 ///
 /// Both operations are deterministic functions of (store, index, operands),
 /// so they can be logged in cracker tapes and replayed on every map of a
-/// set in the same order (paper Section 3.5).
+/// set in the same order (paper Section 3.5). Each is one walk over the
+/// splits above the updated value: O(log P + those splits) for P splits.
 
 /// Inserts (head_value, tail_value) into its value-correct piece.
 /// Positions of all pieces after the target shift by +1 (reflected in the

@@ -146,7 +146,9 @@ TEST(ChunkMapTest, UpdatesOnFetchedAreaGoThroughTape) {
   rel.AppendRow(row);
   cm.PullUpdates(RangePredicate::Closed(40, 60));
   ASSERT_EQ(area.tape.size(), 1u);
-  EXPECT_EQ(area.tape.at(0).kind, TapeEntry::Kind::kInsert);
+  EXPECT_EQ(area.tape.at(0).kind(), TapeEntry::Kind::kInsert);
+  EXPECT_EQ(area.tape.at(0).key(), static_cast<Key>(rel.num_rows() - 1));
+  EXPECT_EQ(area.tape.at(0).head_value(), 50);
   EXPECT_EQ(area.h_cursor, 1u);  // H applied it immediately
 }
 
@@ -163,7 +165,8 @@ TEST(ChunkMapTest, DeleteOnFetchedAreaLogsPosition) {
   rel.DeleteRow(victim);
   cm.PullUpdates(RangePredicate::Closed(40, 60));
   ASSERT_EQ(area.tape.size(), 1u);
-  EXPECT_EQ(area.tape.at(0).kind, TapeEntry::Kind::kDelete);
+  EXPECT_EQ(area.tape.at(0).kind(), TapeEntry::Kind::kDelete);
+  EXPECT_EQ(area.tape.at(0).key(), victim);
   EXPECT_EQ(area.size(), size_before - 1);
 }
 

@@ -64,8 +64,13 @@ std::vector<Value> Runs(Rng* rng, size_t n, size_t len, Value domain) {
 
 /// Predicate shapes mirrored from kernel_test's oracle matrix.
 std::vector<RangePredicate> Predicates(Value lo, Value hi) {
-  const Value third = lo + (hi - lo) / 3;
-  const Value two_thirds = lo + 2 * ((hi - lo) / 3);
+  // Unsigned: the full-domain range [kMinValue, kMaxValue] overflows Value.
+  const uint64_t third_span =
+      (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 3;
+  const Value third =
+      static_cast<Value>(static_cast<uint64_t>(lo) + third_span);
+  const Value two_thirds =
+      static_cast<Value>(static_cast<uint64_t>(lo) + 2 * third_span);
   return {
       RangePredicate::Closed(third, two_thirds),
       RangePredicate::Open(third, two_thirds),

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -108,15 +112,30 @@ TEST(CrackerIndexTest, FindAreaCoversPredicate) {
   EXPECT_EQ(wide.end, 100u);
 }
 
-TEST(CrackerIndexTest, ShiftPositions) {
+TEST(CrackerIndexTest, ShiftSplitsAbove) {
   CrackerIndex index;
   index.AddSplit(Bound{10, true}, 30);
   index.AddSplit(Bound{20, true}, 60);
-  index.ShiftPositions(60, +2);
+  index.AddSplit(Bound{20, false}, 60);
+  index.AddSplit(Bound{30, true}, 80);
+  // Only splits strictly above the threshold move; the walk visits their
+  // positions from the top down for a descending walk.
+  std::vector<size_t> visited;
+  index.ShiftSplitsAbove(Bound{20, true}, +2,
+                         CrackerIndex::Order::kDescending,
+                         [&](size_t pos) { visited.push_back(pos); });
+  EXPECT_EQ(visited, (std::vector<size_t>{80, 60}));
   EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 30u);
-  EXPECT_EQ(index.FindSplit(Bound{20, true}).value(), 62u);
-  index.ShiftPositions(0, -1);
+  EXPECT_EQ(index.FindSplit(Bound{20, true}).value(), 60u);
+  EXPECT_EQ(index.FindSplit(Bound{20, false}).value(), 62u);
+  EXPECT_EQ(index.FindSplit(Bound{30, true}).value(), 82u);
+  visited.clear();
+  index.ShiftSplitsAbove(Bound{kMinValue, true}, -1,
+                         CrackerIndex::Order::kAscending,
+                         [&](size_t pos) { visited.push_back(pos); });
+  EXPECT_EQ(visited, (std::vector<size_t>{30, 60, 62, 82}));
   EXPECT_EQ(index.FindSplit(Bound{10, true}).value(), 29u);
+  EXPECT_EQ(index.FindSplit(Bound{30, true}).value(), 81u);
 }
 
 TEST(CrackerIndexTest, LazyDeletionAndRevival) {
@@ -236,6 +255,260 @@ TEST_P(CrackerIndexPropertyTest, MatchesOrderedMapReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrackerIndexPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 42));
+
+static_assert(sizeof(CrackerIndex::Node) <= 24, "index nodes are 24 bytes");
+
+/// The estimate as a sum over every piece, kept here as the oracle for the
+/// descent-based CrackerIndex::EstimateMatches.
+CrackerIndex::Estimate OracleEstimate(const CrackerIndex& index,
+                                      const RangePredicate& pred,
+                                      size_t store_size) {
+  CrackerIndex::Estimate est;
+  const Bound pred_lo{pred.low, pred.low_inclusive};
+  const Bound pred_hi{pred.high, !pred.high_inclusive};
+  const bool lo_unbounded = pred.low == kMinValue && pred.low_inclusive;
+  const bool hi_unbounded = pred.high == kMaxValue && pred.high_inclusive;
+  auto cut_leq = [](const Bound& a, const Bound& b) {
+    return !BoundLess(b, a);
+  };
+  for (const CrackerIndex::Piece& p : index.Pieces(store_size)) {
+    if (p.begin >= p.end) continue;
+    if (!lo_unbounded && p.has_upper && cut_leq(p.upper, pred_lo)) continue;
+    if (!hi_unbounded && p.has_lower && cut_leq(pred_hi, p.lower)) continue;
+    const size_t sz = p.end - p.begin;
+    est.upper_bound += sz;
+    const bool low_inside =
+        lo_unbounded || (p.has_lower && cut_leq(pred_lo, p.lower));
+    const bool high_inside =
+        hi_unbounded || (p.has_upper && cut_leq(p.upper, pred_hi));
+    if (low_inside && high_inside) {
+      est.lower_bound += sz;
+      est.interpolated += static_cast<double>(sz);
+      continue;
+    }
+    const double piece_lo = p.has_lower ? static_cast<double>(p.lower.value)
+                                        : static_cast<double>(pred.low);
+    const double piece_hi = p.has_upper ? static_cast<double>(p.upper.value)
+                                        : static_cast<double>(pred.high);
+    const double sel_lo = std::max(piece_lo, static_cast<double>(pred.low));
+    const double sel_hi = std::min(piece_hi, static_cast<double>(pred.high));
+    const double width = piece_hi - piece_lo;
+    const double frac =
+        width > 0 ? std::clamp((sel_hi - sel_lo) / width, 0.0, 1.0) : 0.5;
+    est.interpolated += frac * static_cast<double>(sz);
+  }
+  return est;
+}
+
+/// Distinct random bounds over a small value domain (so equal values with
+/// both inclusiveness flags occur), in cut order.
+std::vector<Bound> RandomBounds(Rng* rng, size_t count, Value domain) {
+  std::vector<Bound> bounds;
+  for (size_t i = 0; i < count; ++i) {
+    bounds.push_back(Bound{rng->Uniform(0, domain), rng->Bernoulli(0.5)});
+  }
+  std::sort(bounds.begin(), bounds.end(), BoundLess);
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  return bounds;
+}
+
+/// Non-decreasing positions in [0, store_size], one per bound; about a
+/// third of the pieces come out empty.
+std::vector<size_t> RandomPositions(Rng* rng, size_t count,
+                                    size_t store_size) {
+  std::vector<size_t> positions;
+  size_t pos = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (!rng->Bernoulli(0.35)) {
+      pos += static_cast<size_t>(rng->Uniform(
+          0, static_cast<Value>(2 * store_size / (count + 1))));
+    }
+    pos = std::min(pos, store_size);
+    positions.push_back(pos);
+  }
+  return positions;
+}
+
+/// Adds `bounds[i] -> positions[i]` in a random order.
+void AddShuffled(Rng* rng, CrackerIndex* index,
+                 const std::vector<Bound>& bounds,
+                 const std::vector<size_t>& positions) {
+  std::vector<size_t> order(bounds.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1],
+              order[static_cast<size_t>(rng->Uniform(
+                  0, static_cast<Value>(i) - 1))]);
+  }
+  for (size_t i : order) index->AddSplit(bounds[i], positions[i]);
+}
+
+RangePredicate RandomPredicate(Rng* rng, Value domain) {
+  RangePredicate pred;
+  const double shape = rng->NextDouble();
+  pred.low = rng->Uniform(-2, domain + 2);
+  pred.high = rng->Uniform(-2, domain + 2);
+  pred.low_inclusive = rng->Bernoulli(0.5);
+  pred.high_inclusive = rng->Bernoulli(0.5);
+  if (shape < 0.1) {
+    pred = RangePredicate{};  // unbounded
+  } else if (shape < 0.2) {
+    pred.low = kMinValue;  // one-sided: only an upper edge
+    pred.low_inclusive = true;
+  } else if (shape < 0.3) {
+    pred.high = kMaxValue;  // one-sided: only a lower edge
+    pred.high_inclusive = true;
+  } else if (shape < 0.35) {
+    pred.low = kMinValue;  // bounded at the extreme values, exclusive
+    pred.low_inclusive = false;
+  } else if (shape < 0.4) {
+    pred.high = kMaxValue;
+    pred.high_inclusive = false;
+  } else if (shape < 0.5) {
+    pred.high = pred.low;  // point or empty (v, v) predicate
+  } else if (shape < 0.6) {
+    std::swap(pred.low, pred.high);  // often degenerate: low >= high
+    if (pred.low < pred.high) std::swap(pred.low, pred.high);
+  } else if (pred.low > pred.high) {
+    std::swap(pred.low, pred.high);
+  }
+  return pred;
+}
+
+void ExpectEstimatesEqual(const CrackerIndex& index,
+                          const RangePredicate& pred, size_t store_size) {
+  const CrackerIndex::Estimate got = index.EstimateMatches(pred, store_size);
+  const CrackerIndex::Estimate want = OracleEstimate(index, pred, store_size);
+  EXPECT_EQ(got.lower_bound, want.lower_bound) << pred.ToString();
+  EXPECT_EQ(got.upper_bound, want.upper_bound) << pred.ToString();
+  EXPECT_LE(std::abs(got.interpolated - want.interpolated),
+            1e-9 * std::max(1.0, std::abs(want.interpolated)))
+      << pred.ToString() << " got " << got.interpolated << " want "
+      << want.interpolated;
+}
+
+/// Property: the descent-based estimate equals the sum over all pieces on
+/// randomized indexes with empty pieces, duplicate values and lazily
+/// deleted then revived splits, for unbounded, one-sided and degenerate
+/// predicates alike.
+class EstimatePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EstimatePropertyTest, MatchesSumOverPieces) {
+  Rng rng(GetParam());
+  const Value domain = 60;
+  for (int round = 0; round < 60; ++round) {
+    const size_t store_size = static_cast<size_t>(rng.Uniform(0, 500));
+    const size_t count = static_cast<size_t>(rng.Uniform(0, 40));
+    CrackerIndex index;
+    if (rng.Bernoulli(0.5)) {
+      // A dropped history: nodes that later splits revive or leave dead.
+      const std::vector<Bound> old_bounds = RandomBounds(&rng, count, domain);
+      AddShuffled(&rng, &index, old_bounds,
+                  RandomPositions(&rng, old_bounds.size(), store_size));
+      index.MarkAllDeleted();
+      ExpectEstimatesEqual(index, RandomPredicate(&rng, domain), store_size);
+    }
+    const std::vector<Bound> bounds = RandomBounds(&rng, count, domain);
+    AddShuffled(&rng, &index, bounds,
+                RandomPositions(&rng, bounds.size(), store_size));
+    ASSERT_EQ(index.num_splits(), bounds.size());
+    for (int q = 0; q < 50; ++q) {
+      ExpectEstimatesEqual(index, RandomPredicate(&rng, domain), store_size);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EstimatePropertyTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(CrackerIndexArenaTest, MoveLeavesSourceEmptyAndReusable) {
+  CrackerIndex index;
+  for (Value v = 0; v < 100; ++v) {
+    index.AddSplit(Bound{v, true}, static_cast<size_t>(v));
+  }
+  const auto splits = index.LiveSplits();
+  CrackerIndex moved(std::move(index));
+  EXPECT_EQ(moved.LiveSplits(), splits);
+  EXPECT_EQ(moved.num_nodes(), 100u);
+  EXPECT_EQ(index.num_nodes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(index.empty());
+  index.AddSplit(Bound{7, false}, 3);
+  EXPECT_EQ(index.FindSplit(Bound{7, false}).value(), 3u);
+
+  CrackerIndex assigned;
+  assigned.AddSplit(Bound{1, true}, 1);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.LiveSplits(), splits);
+  EXPECT_EQ(assigned.num_nodes(), 100u);
+  EXPECT_EQ(moved.num_nodes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(moved.LiveSplits().empty());
+}
+
+TEST(CrackerIndexArenaTest, CloneLiveCopiesOnlyLiveSplits) {
+  CrackerIndex index;
+  for (Value v = 0; v < 50; ++v) {
+    index.AddSplit(Bound{v, v % 2 == 0}, static_cast<size_t>(2 * v));
+  }
+  index.MarkAllDeleted();
+  for (Value v = 10; v < 20; ++v) {
+    index.AddSplit(Bound{v, v % 2 == 0}, static_cast<size_t>(v));
+  }
+  index.AddSplit(Bound{100, true}, 30);
+  EXPECT_EQ(index.num_nodes(), 51u);
+  const CrackerIndex clone = index.CloneLive();
+  EXPECT_EQ(clone.num_nodes(), 11u);  // deleted nodes are not carried over
+  EXPECT_EQ(clone.num_splits(), 11u);
+  EXPECT_EQ(clone.LiveSplits(), index.LiveSplits());
+  for (Value v = 0; v < 110; ++v) {
+    const Bound b{v, true};
+    EXPECT_EQ(clone.FindSplit(b), index.FindSplit(b));
+    const auto cp = clone.FindPiece(b, 40);
+    const auto ip = index.FindPiece(b, 40);
+    EXPECT_EQ(cp.begin, ip.begin);
+    EXPECT_EQ(cp.end, ip.end);
+  }
+  EXPECT_EQ(CrackerIndex().CloneLive().num_nodes(), 0u);
+}
+
+TEST(CrackerIndexArenaTest, ClearReleasesEveryNode) {
+  CrackerIndex index;
+  for (Value v = 0; v < 1000; ++v) {
+    index.AddSplit(Bound{v, true}, static_cast<size_t>(v));
+  }
+  index.Clear();
+  EXPECT_EQ(index.num_nodes(), 0u);
+  EXPECT_TRUE(index.empty());
+  EXPECT_TRUE(index.LiveSplits().empty());
+  index.AddSplit(Bound{5, true}, 9);
+  EXPECT_EQ(index.num_nodes(), 1u);
+  EXPECT_EQ(index.FindSplit(Bound{5, true}).value(), 9u);
+}
+
+TEST(CrackerIndexArenaTest, RevivalReusesNodesAcrossBlocks) {
+  // Enough splits to span several arena blocks (8, 16, 32, ... nodes).
+  CrackerIndex index;
+  const Value n = 5000;
+  for (Value v = 0; v < n; ++v) {
+    index.AddSplit(Bound{(v * 7919) % n, true}, static_cast<size_t>(v));
+  }
+  EXPECT_EQ(index.num_nodes(), static_cast<size_t>(n));
+  index.MarkAllDeleted();
+  EXPECT_EQ(index.num_splits(), 0u);
+  EXPECT_EQ(index.num_nodes(), static_cast<size_t>(n));
+  for (Value v = 0; v < n; v += 2) {
+    index.AddSplit(Bound{v, true}, static_cast<size_t>(v));
+  }
+  EXPECT_EQ(index.num_nodes(), static_cast<size_t>(n));  // all revived
+  EXPECT_EQ(index.num_splits(), static_cast<size_t>(n / 2));
+  index.AddSplit(Bound{3, false}, 3);  // a new bound allocates
+  EXPECT_EQ(index.num_nodes(), static_cast<size_t>(n) + 1);
+  const auto splits = index.LiveSplits();
+  ASSERT_EQ(splits.size(), static_cast<size_t>(n / 2) + 1);
+  for (size_t i = 1; i < splits.size(); ++i) {
+    EXPECT_TRUE(BoundLess(splits[i - 1].first, splits[i].first));
+    EXPECT_LE(splits[i - 1].second, splits[i].second);
+  }
+}
 
 }  // namespace
 }  // namespace crackdb

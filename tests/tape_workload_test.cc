@@ -14,6 +14,8 @@
 namespace crackdb {
 namespace {
 
+static_assert(sizeof(TapeEntry) == 24, "tape entries are 24 bytes");
+
 TEST(CrackerTapeTest, AppendAndReadBack) {
   CrackerTape tape;
   EXPECT_TRUE(tape.empty());
@@ -24,17 +26,21 @@ TEST(CrackerTapeTest, AppendAndReadBack) {
   tape.AppendSort(Bound{2, true});
   tape.AppendSort(std::nullopt);
   ASSERT_EQ(tape.size(), 6u);
-  EXPECT_EQ(tape.at(0).kind, TapeEntry::Kind::kCrack);
-  EXPECT_EQ(tape.at(0).pred, RangePredicate::Closed(1, 5));
-  EXPECT_EQ(tape.at(1).kind, TapeEntry::Kind::kCrackBound);
-  EXPECT_EQ(tape.at(1).bound, (Bound{7, false}));
-  EXPECT_EQ(tape.at(2).kind, TapeEntry::Kind::kInsert);
-  EXPECT_EQ(tape.at(2).key, 42u);
-  EXPECT_EQ(tape.at(2).head_value, 99);
-  EXPECT_EQ(tape.at(3).kind, TapeEntry::Kind::kDelete);
-  EXPECT_EQ(tape.at(3).pos, 3u);
-  ASSERT_TRUE(tape.at(4).piece_lower.has_value());
-  EXPECT_FALSE(tape.at(5).piece_lower.has_value());
+  EXPECT_EQ(tape.at(0).kind(), TapeEntry::Kind::kCrack);
+  EXPECT_EQ(tape.at(0).pred(), RangePredicate::Closed(1, 5));
+  EXPECT_EQ(tape.at(1).kind(), TapeEntry::Kind::kCrackBound);
+  EXPECT_EQ(tape.at(1).bound(), (Bound{7, false}));
+  EXPECT_EQ(tape.at(2).kind(), TapeEntry::Kind::kInsert);
+  EXPECT_EQ(tape.at(2).key(), 42u);
+  EXPECT_EQ(tape.at(2).head_value(), 99);
+  EXPECT_EQ(tape.at(3).kind(), TapeEntry::Kind::kDelete);
+  EXPECT_EQ(tape.at(3).pos(), 3u);
+  EXPECT_EQ(tape.at(3).key(), 43u);
+  EXPECT_EQ(tape.at(3).head_value(), 100);
+  EXPECT_EQ(tape.at(4).kind(), TapeEntry::Kind::kSort);
+  ASSERT_TRUE(tape.at(4).piece_lower().has_value());
+  EXPECT_EQ(*tape.at(4).piece_lower(), (Bound{2, true}));
+  EXPECT_FALSE(tape.at(5).piece_lower().has_value());
   tape.Clear();
   EXPECT_TRUE(tape.empty());
 }
